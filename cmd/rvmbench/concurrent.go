@@ -84,6 +84,9 @@ type concThresholds struct {
 		MinSpeedup       float64 `json:"min_speedup"`
 		MaxNsPerMB       int64   `json:"max_ns_per_mb"`
 		MaxCkptScanBytes uint64  `json:"max_ckpt_scan_bytes"`
+		// MaxSerialNsPerMBGrowth bounds serial ns/MB at the largest log
+		// over ns/MB at the smallest: redo must stay linear in the log.
+		MaxSerialNsPerMBGrowth float64 `json:"max_serial_ns_per_mb_growth"`
 	} `json:"recovery"`
 }
 

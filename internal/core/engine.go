@@ -106,8 +106,6 @@ type Options struct {
 	// RetryBackoff is the delay before the first retry, doubling with
 	// each subsequent attempt.  Zero selects 1ms.
 	RetryBackoff time.Duration
-	// Backend selects region memory (heap or anonymous mmap).
-	Backend mapping.Backend
 	// DemandPaging maps regions copy-on-write over the segment file
 	// instead of copying them in at Map time — the optional external-
 	// pager behaviour §4.1 lists as future work.  Pages are read on
@@ -357,6 +355,10 @@ type Engine struct {
 	met *obs.Metrics
 
 	stats counters
+
+	// epochRecordHook, when set by a test before the engine is shared,
+	// runs as an epoch collection's scan delivers each record.
+	epochRecordHook func()
 }
 
 // poisonCause wraps the fail-stop root cause for atomic publication.
@@ -709,7 +711,7 @@ func (e *Engine) Map(segPath string, segOff, length int64) (*Region, error) {
 			return nil, err
 		}
 	} else {
-		buf, err = mapping.New(length, e.opts.Backend)
+		buf, err = mapping.New(length)
 		if err != nil {
 			return nil, err
 		}
@@ -901,7 +903,10 @@ func (e *Engine) waitTruncationLocked() {
 
 // Data returns the region's mapped memory.  Reads need no RVM
 // intervention; writes must be covered by a SetRange of an active
-// transaction to be recoverable.
+// transaction to be recoverable.  The memory is a mapping outside the Go
+// heap: Unmap and Close release it, after which the slice must not be
+// touched (an access faults).  An engine dropped without Close — a
+// simulated crash — keeps its regions mapped until the process exits.
 func (r *Region) Data() []byte { return r.data }
 
 // Length returns the region length in bytes.

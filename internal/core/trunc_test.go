@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 )
@@ -264,5 +265,74 @@ func TestSetOptionsChangesTruncationBehaviour(t *testing.T) {
 	}
 	if v.eng.Stats().IncrSteps == 0 {
 		t.Fatal("incremental truncation did not run after SetOptions")
+	}
+}
+
+// TestEpochCollectHoldsNoPipelineLock pins the epoch's lock scope: once
+// collectEpochPipe has published the epoch end and released the shard's
+// pipeline lock, the scan and tree build hold nothing a commit needs, so
+// a Flush commit on the same shard — re-modifying a page the epoch
+// contains — completes while the scan is parked delivering a record.
+// Both the epoch's bytes and the overlapping commit must then survive a
+// crash.
+func TestEpochCollectHoldsNoPipelineLock(t *testing.T) {
+	v := newEnv(t, 1<<18, pageBytes(2), Options{})
+	r := v.mapWhole()
+	for i := 0; i < 20; i++ {
+		v.commit1(r, int64(i*8), []byte{byte(i + 1)})
+	}
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var park sync.Once
+	v.eng.epochRecordHook = func() {
+		park.Do(func() {
+			close(entered)
+			<-release
+		})
+	}
+	truncDone := make(chan error, 1)
+	go func() { truncDone <- v.eng.Truncate() }()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("epoch collection never reached the hook")
+	}
+	commitDone := make(chan error, 1)
+	go func() {
+		tx, err := v.eng.Begin(Restore)
+		if err == nil {
+			if err = tx.Modify(r, 0, []byte{0xAB}); err == nil {
+				err = tx.Commit(Flush)
+			}
+		}
+		commitDone <- err
+	}()
+	var commitErr error
+	blocked := false
+	select {
+	case commitErr = <-commitDone:
+	case <-time.After(10 * time.Second):
+		blocked = true
+	}
+	close(release)
+	if err := <-truncDone; err != nil {
+		t.Fatal(err)
+	}
+	if blocked {
+		<-commitDone
+		t.Fatal("Commit(Flush) blocked while the epoch scan held no lock")
+	}
+	if commitErr != nil {
+		t.Fatal(commitErr)
+	}
+	v.reopen(Options{})
+	r2 := v.mapWhole()
+	if got := r2.Data()[0]; got != 0xAB {
+		t.Fatalf("commit made during the epoch scan lost: byte 0 = %#x", got)
+	}
+	for i := 1; i < 20; i++ {
+		if r2.Data()[i*8] != byte(i+1) {
+			t.Fatalf("epoch byte %d lost", i*8)
+		}
 	}
 }

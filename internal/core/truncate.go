@@ -133,7 +133,7 @@ func (e *Engine) epochTruncate() error {
 // epochTruncateShard runs one shard's epoch truncation under the caller's
 // truncation claim, returning the number of records the epoch contained.
 func (e *Engine) epochTruncateShard(sh *shard) (uint64, error) {
-	pause := time.Now() // the shard's pipeline is busy while the epoch is collected
+	pause := time.Now() // spool flush, collection and force: the epoch's setup
 	fail := func(err error) (uint64, error) {
 		err = e.maybePoison(err)
 		e.clearEpochSeq(sh)
@@ -196,35 +196,38 @@ func epochBoundPipeLocked(p *pipeline, tailSeq uint64) uint64 {
 	return end
 }
 
-// collectEpochPipe snapshots one shard's live log (bounded so no in-doubt
-// cross-shard prepare is split from its commit mark) as a truncation
-// epoch and publishes its end sequence, all under the shard's pipeline
-// lock: any commit appending after the collection then sees epochEndSeq
-// set and promotes re-modified pages to their new (surviving) log
-// reference.  Records can append unforced between the spool flush and
-// the collection, so the epoch's tail is forced before it may be applied.
+// collectEpochPipe collects one shard's epoch: its live log up to the
+// tail, bounded so no in-doubt cross-shard prepare is split from its
+// commit mark.  Under the shard's pipeline lock it does four things only —
+// snapshot the tail, compute the bound, fix the epoch end there (the
+// bound never exceeds the tail), and publish it as epochEndSeq — so any
+// commit appending after the snapshot sees epochEndSeq set and promotes
+// re-modified pages to their new (surviving) log reference.  The scan of
+// [head, end) and the tree build then run with no lock held: the records
+// below the snapshot never change, and only this truncation-claim holder
+// moves the head.  Records can append unforced between the spool flush
+// and the snapshot, so the epoch's tail is forced before it may be
+// applied.
 func (e *Engine) collectEpochPipe(sh *shard) (*recovery.Epoch, error) {
 	p := &sh.pipe
 	p.mu.Lock()
 	_, tailSeq := sh.log.Tail()
-	bound := epochBoundPipeLocked(p, tailSeq)
+	end := epochBoundPipeLocked(p, tailSeq) // never past tailSeq
+	p.epochEndSeq = end
+	p.mu.Unlock()
+
 	var ep *recovery.Epoch
 	err := e.retryIO(func() error {
 		var err error
-		ep, err = recovery.CollectEpochBounded(sh.log, bound)
+		ep, err = recovery.CollectEpochBounded(sh.log, end, e.epochRecordHook)
 		return err
 	})
-	if err == nil {
-		p.epochEndSeq = ep.EndSeq()
+	if err == nil && ep.EndSeq() > 0 && sh.log.ForcedThrough() < ep.EndSeq()-1 {
+		err = e.retryIO(sh.log.Force)
 	}
-	p.mu.Unlock()
 	if err != nil {
+		e.clearEpochSeq(sh)
 		return nil, err
-	}
-	if end := ep.EndSeq(); end > 0 && sh.log.ForcedThrough() < end-1 {
-		if ferr := e.retryIO(sh.log.Force); ferr != nil {
-			return nil, ferr
-		}
 	}
 	return ep, nil
 }

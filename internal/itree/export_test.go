@@ -2,6 +2,3 @@ package itree
 
 // CheckInvariants exposes the internal structural check to tests.
 func (t *Tree) CheckInvariants() { t.checkInvariants() }
-
-// Intervals returns a copy of the interval list for white-box assertions.
-func (t *Tree) Intervals() []Interval { return append([]Interval(nil), t.ivs...) }

@@ -2,7 +2,9 @@ package itree
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -315,4 +317,179 @@ func TestCoveredPartial(t *testing.T) {
 			t.Errorf("Covered(%d,%d)=%v want %v", c.off, c.n, got, c.want)
 		}
 	}
+}
+
+// TestModelMixed mixes both policies in one tree and interleaves queries
+// with inserts, checking every step against a byte-map model.  The large
+// variant resolves long runs of overlapping inserts between its sparse
+// queries.
+func TestModelMixed(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		trials, ops   int
+		space, maxLen int
+		queryEvery    int
+	}{
+		{"small", 200, 80, 1 << 10, 64, 1},
+		{"large", 4, 1500, 1 << 16, 4 << 10, 97},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			for trial := 0; trial < c.trials; trial++ {
+				var tr Tree
+				model := make([]int, c.space+c.maxLen) // value+1; 0 = uncovered
+				for k := 0; k < c.ops; k++ {
+					off := rng.Intn(c.space)
+					n := rng.Intn(c.maxLen)
+					seed := byte(rng.Intn(256))
+					p := Policy(rng.Intn(2))
+					data := make([]byte, n)
+					for i := range data {
+						data[i] = seed + byte(i)
+						if p == OverwriteExisting || model[off+i] == 0 {
+							model[off+i] = int(data[i]) + 1
+						}
+					}
+					tr.Insert(uint64(off), data, p)
+					if k%c.queryEvery != 0 {
+						continue
+					}
+					q := uint64(rng.Intn(len(model)))
+					b, ok := tr.Get(q)
+					if want := model[q]; ok != (want != 0) || (ok && int(b)+1 != want) {
+						t.Fatalf("trial %d op %d: Get(%d) = (%d,%v), model %d", trial, k, q, b, ok, want)
+					}
+					qn := uint64(rng.Intn(16))
+					covered := true
+					for i := q; i < q+qn && i < uint64(len(model)); i++ {
+						covered = covered && model[i] != 0
+					}
+					if q+qn > uint64(len(model)) {
+						covered = false
+					}
+					if got := tr.Covered(q, qn); got != covered {
+						t.Fatalf("trial %d op %d: Covered(%d,%d) = %v, model %v", trial, k, q, qn, got, covered)
+					}
+					if got, want := tr.Len(), modelRuns(model); got != want {
+						t.Fatalf("trial %d op %d: Len = %d, model %d", trial, k, got, want)
+					}
+				}
+				tr.CheckInvariants()
+				var bytesWant uint64
+				for _, v := range model {
+					if v != 0 {
+						bytesWant++
+					}
+				}
+				if got := tr.Bytes(); got != bytesWant {
+					t.Fatalf("trial %d: Bytes = %d, model %d", trial, got, bytesWant)
+				}
+				var seen uint64
+				err := tr.Walk(func(iv Interval) error {
+					for i, b := range iv.Data {
+						if want := model[iv.Off+uint64(i)]; int(b)+1 != want {
+							return fmt.Errorf("walk byte %d = %d, model %d", iv.Off+uint64(i), b, want)
+						}
+					}
+					seen += uint64(len(iv.Data))
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				if seen != bytesWant {
+					t.Fatalf("trial %d: Walk covered %d bytes, model %d", trial, seen, bytesWant)
+				}
+			}
+		})
+	}
+}
+
+// modelRuns counts the maximal covered runs of a byte-map model.
+func modelRuns(model []int) int {
+	runs := 0
+	for i, v := range model {
+		if v != 0 && (i == 0 || model[i-1] == 0) {
+			runs++
+		}
+	}
+	return runs
+}
+
+// insertPattern feeds n inserts of one access pattern into tr.
+func insertPattern(tr *Tree, pattern string, n int, p Policy, rng *rand.Rand, buf []byte) {
+	for i := 0; i < n; i++ {
+		switch pattern {
+		case "adjacent": // a growing contiguous run, as a sequential log ring writes
+			tr.Insert(uint64(i)*128, buf[:128], p)
+		case "disjoint": // separated records in ascending order
+			tr.Insert(uint64(i)*256, buf[:128], p)
+		case "random": // overlapping records over a space a quarter the data
+			tr.Insert(uint64(rng.Intn(n*32)), buf[:128], p)
+		}
+	}
+}
+
+// TestInsertComplexity pins the tree's growth rate deterministically, by
+// bytes allocated rather than wall time: quadrupling the inserts may grow
+// the bytes allocated per insert (inserts plus the final Walk) by at most
+// 1.5x.  A tree that copies its intervals or a merged neighbour run on
+// every insert grows about 4x here.
+func TestInsertComplexity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation sweep")
+	}
+	buf := fill('d', 128)
+	perInsert := func(pattern string, p Policy, n int) float64 {
+		var tr Tree
+		rng := rand.New(rand.NewSource(1))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		insertPattern(&tr, pattern, n, p, rng, buf)
+		tr.Walk(func(Interval) error { return nil })
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	for _, c := range []struct {
+		pattern string
+		p       Policy
+	}{{"adjacent", KeepExisting}, {"random", OverwriteExisting}} {
+		small := perInsert(c.pattern, c.p, 4096)
+		large := perInsert(c.pattern, c.p, 16384)
+		t.Logf("%s/%s: %.0f B/insert at 4096, %.0f at 16384 (%.2fx)", c.pattern, policyName(c.p), small, large, large/small)
+		if large > 1.5*small {
+			t.Errorf("%s: bytes allocated per insert grew %.2fx from n=4096 to n=16384 (limit 1.5x)", c.pattern, large/small)
+		}
+	}
+}
+
+// BenchmarkInsert sweeps pattern x policy x size; one op builds a tree of
+// n inserts and walks it, and ns/insert is reported.
+func BenchmarkInsert(b *testing.B) {
+	buf := fill('d', 128)
+	for _, pattern := range []string{"adjacent", "disjoint", "random"} {
+		for _, p := range []Policy{KeepExisting, OverwriteExisting} {
+			for _, n := range []int{1024, 16384} {
+				name := fmt.Sprintf("%s/%s/n=%d", pattern, policyName(p), n)
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					rng := rand.New(rand.NewSource(1))
+					for i := 0; i < b.N; i++ {
+						var tr Tree
+						insertPattern(&tr, pattern, n, p, rng, buf)
+						tr.Walk(func(Interval) error { return nil })
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/insert")
+				})
+			}
+		}
+	}
+}
+
+func policyName(p Policy) string {
+	if p == KeepExisting {
+		return "keep"
+	}
+	return "overwrite"
 }

@@ -3,16 +3,15 @@
 // The original RVM maps regions of external data segments directly into a
 // Unix process's virtual address space.  Go's garbage-collected heap cannot
 // host persistent C-style pointers, so a region here is a page-aligned
-// []byte.  Two backends are provided:
+// []byte backed by an anonymous mmap (New) — or, for demand paging, a
+// private file mapping (NewFileMapped).  Either way region memory lives
+// outside the Go heap exactly like the original's mapped memory: the
+// collector never scans it, and it does not count toward the heap goal,
+// so a large region does not double the heap the runtime lets grow.
 //
-//   - an anonymous mmap (syscall.Mmap) buffer, which lives outside the Go
-//     heap exactly like the original's mapped memory, and
-//   - a pure-heap buffer, aligned by over-allocation, used as a portable
-//     fallback and in tests.
-//
-// Both satisfy RVM's mapping restrictions: region sizes are multiples of the
-// page size and buffers are page-aligned, eliminating aliasing concerns
-// (paper §4.1).
+// Buffers satisfy RVM's mapping restrictions: region sizes are multiples
+// of the page size and buffers are page-aligned, eliminating aliasing
+// concerns (paper §4.1).
 package mapping
 
 import (
@@ -38,45 +37,21 @@ func IsAligned(n int64) bool { return n%int64(PageSize) == 0 }
 // Buffer is a page-aligned memory buffer backing a mapped region.
 type Buffer struct {
 	data []byte
-	mmap bool // true when data came from syscall.Mmap
 }
 
-// Backend selects how region memory is obtained.
-type Backend int
-
-const (
-	// Heap allocates from the Go heap with manual alignment.
-	Heap Backend = iota
-	// Mmap allocates anonymous non-heap memory via syscall.Mmap.
-	Mmap
-)
-
-// New returns a zeroed page-aligned buffer of exactly size bytes.  size must
-// be a positive multiple of the page size.
-func New(size int64, b Backend) (*Buffer, error) {
+// New returns a zeroed page-aligned anonymous mapping of exactly size
+// bytes.  size must be a positive multiple of the page size.
+func New(size int64) (*Buffer, error) {
 	if size <= 0 || !IsAligned(size) {
 		return nil, fmt.Errorf("mapping: size %d is not a positive multiple of the page size %d", size, PageSize)
 	}
-	switch b {
-	case Mmap:
-		data, err := syscall.Mmap(-1, 0, int(size),
-			syscall.PROT_READ|syscall.PROT_WRITE,
-			syscall.MAP_PRIVATE|syscall.MAP_ANON)
-		if err != nil {
-			return nil, fmt.Errorf("mapping: mmap %d bytes: %w", size, err)
-		}
-		return &Buffer{data: data, mmap: true}, nil
-	case Heap:
-		// Over-allocate by one page and slice to an aligned boundary.
-		raw := make([]byte, size+int64(PageSize))
-		off := 0
-		if rem := int(uintptr(unsafe.Pointer(&raw[0])) % uintptr(PageSize)); rem != 0 {
-			off = PageSize - rem
-		}
-		return &Buffer{data: raw[off : off+int(size) : off+int(size)]}, nil
-	default:
-		return nil, fmt.Errorf("mapping: unknown backend %d", int(b))
+	data, err := syscall.Mmap(-1, 0, int(size),
+		syscall.PROT_READ|syscall.PROT_WRITE,
+		syscall.MAP_PRIVATE|syscall.MAP_ANON)
+	if err != nil {
+		return nil, fmt.Errorf("mapping: mmap %d bytes: %w", size, err)
 	}
+	return &Buffer{data: data}, nil
 }
 
 // NewFileMapped returns a copy-on-write mapping of [fileOff, fileOff+size)
@@ -87,7 +62,7 @@ func New(size int64, b Backend) (*Buffer, error) {
 // because the mapping is private, application writes go to anonymous
 // copy-on-write pages — the segment file is never modified through the
 // mapping, preserving RVM's no-undo/redo invariant exactly as the
-// anonymous backends do.
+// anonymous mapping does.
 //
 // fileOff and size must be page multiples and the file must cover the
 // range.
@@ -101,7 +76,7 @@ func NewFileMapped(fd uintptr, fileOff, size int64) (*Buffer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mapping: mmap file [%d,+%d): %w", fileOff, size, err)
 	}
-	return &Buffer{data: data, mmap: true}, nil
+	return &Buffer{data: data}, nil
 }
 
 // Data returns the buffer's bytes.  The slice is valid until Free.
@@ -118,14 +93,11 @@ func (b *Buffer) Free() error {
 	}
 	data := b.data
 	b.data = nil
-	if b.mmap {
-		return syscall.Munmap(data)
-	}
-	return nil
+	return syscall.Munmap(data)
 }
 
-// Aligned reports whether the buffer start is page-aligned.  Heap buffers
-// are aligned by construction; this is exposed for tests.
+// Aligned reports whether the buffer start is page-aligned.  Mappings are
+// aligned by construction; this is exposed for tests.
 func (b *Buffer) Aligned() bool {
 	if len(b.data) == 0 {
 		return true

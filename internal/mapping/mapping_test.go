@@ -20,10 +20,9 @@ func TestIsAligned(t *testing.T) {
 	}
 }
 
-func testBackend(t *testing.T, b Backend) {
-	t.Helper()
+func TestMmapBackend(t *testing.T) {
 	size := int64(4 * PageSize)
-	buf, err := New(size, b)
+	buf, err := New(size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,16 +52,10 @@ func testBackend(t *testing.T, b Backend) {
 	}
 }
 
-func TestHeapBackend(t *testing.T) { testBackend(t, Heap) }
-func TestMmapBackend(t *testing.T) { testBackend(t, Mmap) }
-
 func TestNewRejectsBadSizes(t *testing.T) {
 	for _, size := range []int64{0, -1, int64(PageSize) + 1} {
-		if _, err := New(size, Heap); err == nil {
+		if _, err := New(size); err == nil {
 			t.Errorf("New(%d) succeeded, want error", size)
 		}
-	}
-	if _, err := New(int64(PageSize), Backend(99)); err == nil {
-		t.Error("unknown backend accepted")
 	}
 }

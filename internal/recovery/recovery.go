@@ -24,8 +24,8 @@
 //
 // Epoch truncation applies the same procedure to an initial portion of the
 // log while forward processing continues in the rest: records are collected
-// under the log lock, applied to segments without it, and only then is the
-// log head advanced.
+// and applied to segments with no log or pipeline lock held, and only then
+// is the log head advanced.
 package recovery
 
 import (
@@ -435,10 +435,12 @@ func replayShard(l *wal.Log, refs []wal.RecordRef, lookup SegmentLookup, retry R
 // CollectEpoch snapshots the log's current live records (the "truncation
 // epoch") into per-segment trees, oldest-first.  Records appended after the
 // snapshot form the paper's "current epoch" and keep flowing while the
-// epoch is applied: collection takes the log lock only for the scan, and
-// Apply advances the head to the snapshotted tail afterwards (Figure 6).
+// epoch is collected and applied: collection reads the log with no lock
+// held (wal.Log.ScanPrefix), and Apply advances the head to the
+// snapshotted tail afterwards (Figure 6).  The caller must be the only
+// party able to move the log's head while the epoch is collected.
 func CollectEpoch(l *wal.Log) (*Epoch, error) {
-	return CollectEpochBounded(l, ^uint64(0))
+	return CollectEpochBounded(l, ^uint64(0), nil)
 }
 
 // CollectEpochBounded is CollectEpoch with an upper sequence bound: no
@@ -458,41 +460,20 @@ func CollectEpoch(l *wal.Log) (*Epoch, error) {
 // unpaired prepare can only be the remnant of a cleanly aborted
 // cross-shard commit, and its bytes must not reach the segments.  The
 // common case — no prepares — stays single-pass.
-func CollectEpochBounded(l *wal.Log, limit uint64) (*Epoch, error) {
-	tailPos, tailSeq := l.Tail()
-	pos, seq := tailPos, tailSeq
-	if limit < seq {
-		// The epoch ends early: its head lands at the first record the
-		// scan delivers with Seq >= limit, discovered below.
-		seq = limit
-		pos = -1
-	}
-	e := &Epoch{trees: make(treeSet), headPos: pos, headSeq: seq, log: l}
+//
+// onRecord, when non-nil, runs as the first pass delivers each record,
+// with no lock held; tests use it to park a collection mid-scan.
+func CollectEpochBounded(l *wal.Log, limit uint64, onRecord func()) (*Epoch, error) {
+	e := &Epoch{trees: make(treeSet), log: l}
 	var committed map[uint64]bool
 	prepares := false
-	stop := fmt.Errorf("stop")
-	err := l.ScanForward(func(rec *wal.Record) error {
-		if rec.Seq >= seq {
-			if e.headPos < 0 {
-				// First record past the bound: the epoch's new head.
-				// (Wrap records are skipped by the scan but are freed
-				// with the epoch since the head lands beyond them.)
-				e.headPos = rec.Pos
-				e.headSeq = rec.Seq
-			}
-			// A record at or past the bound (or appended between the
-			// Tail snapshot and the scan) belongs to the current epoch,
-			// not this truncation.
-			return stop
+	pos, end, err := l.ScanPrefix(limit, func(rec *wal.Record) error {
+		if onRecord != nil {
+			onRecord()
 		}
 		switch rec.Type {
 		case wal.RecTx:
-			e.stats.Records++
-			for _, r := range rec.Ranges {
-				e.stats.Ranges++
-				e.stats.RecordBytes += uint64(len(r.Data))
-				e.trees.add(r, itree.OverwriteExisting)
-			}
+			e.add(rec)
 		case wal.RecPrepare:
 			prepares = true
 		case wal.RecCommit:
@@ -503,14 +484,11 @@ func CollectEpochBounded(l *wal.Log, limit uint64) (*Epoch, error) {
 		}
 		return nil // checkpoint records carry no segment bytes
 	})
-	if err != nil && err != stop {
+	if err != nil {
 		return nil, err
 	}
-	if e.headPos < 0 {
-		// No live record reached the bound: the epoch is the whole
-		// snapshot after all.
-		e.headPos, e.headSeq = tailPos, tailSeq
-	}
+	// The head lands on the first record past the epoch (or the tail).
+	e.headPos, e.headSeq = pos, end
 	if !prepares {
 		return e, nil
 	}
@@ -520,10 +498,7 @@ func CollectEpochBounded(l *wal.Log, limit uint64) (*Epoch, error) {
 	// outside it.
 	e.trees = make(treeSet)
 	e.stats = Stats{}
-	err = l.ScanForward(func(rec *wal.Record) error {
-		if rec.Seq >= e.headSeq {
-			return stop
-		}
+	_, _, err = l.ScanPrefix(end, func(rec *wal.Record) error {
 		switch rec.Type {
 		case wal.RecTx:
 		case wal.RecPrepare:
@@ -534,18 +509,23 @@ func CollectEpochBounded(l *wal.Log, limit uint64) (*Epoch, error) {
 		default:
 			return nil
 		}
-		e.stats.Records++
-		for _, r := range rec.Ranges {
-			e.stats.Ranges++
-			e.stats.RecordBytes += uint64(len(r.Data))
-			e.trees.add(r, itree.OverwriteExisting)
-		}
+		e.add(rec)
 		return nil
 	})
-	if err != nil && err != stop {
+	if err != nil {
 		return nil, err
 	}
 	return e, nil
+}
+
+// add inserts one record's ranges into the epoch's trees, oldest-first.
+func (e *Epoch) add(rec *wal.Record) {
+	e.stats.Records++
+	for _, r := range rec.Ranges {
+		e.stats.Ranges++
+		e.stats.RecordBytes += uint64(len(r.Data))
+		e.trees.add(r, itree.OverwriteExisting)
+	}
 }
 
 // Epoch is a collected truncation epoch awaiting application.

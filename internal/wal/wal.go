@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -337,89 +338,88 @@ func OpenDevice(dev Device) (*Log, error) {
 // areaOff converts a record-area offset into a device offset.
 func areaOff(pos int64) int64 { return 2*int64(mapping.PageSize) + pos }
 
-// readRecordAt decodes and validates the record at area offset pos.  It
-// returns (nil, nil) when the bytes there are not a valid next record (torn
-// write or stale data), which ends a forward scan.
-func (l *Log) readRecordAt(pos int64, wantSeq uint64) (*Record, int64, error) {
-	return readRecord(l.dev, l.areaSize, pos, wantSeq)
+// readRecord reads the n-byte record at area offset pos with one
+// positional read and validates it as record seq.  It returns nil when the
+// bytes there are not that record.  It touches only the device (whose
+// ReadAt is positional and concurrency-safe), so recovery workers call it
+// concurrently without the log mutex.  The record's range data aliases a
+// buffer of its own.
+func readRecord(dev Device, pos, n int64, seq uint64) (*Record, error) {
+	buf := make([]byte, n)
+	if _, err := dev.ReadAt(buf, areaOff(pos)); err != nil {
+		return nil, fmt.Errorf("wal: read record at %d: %w", pos, err)
+	}
+	rec := new(Record)
+	if recordLen(buf, n) != n || !decodeRecord(rec, buf, pos, seq) {
+		return nil, nil
+	}
+	return rec, nil
 }
 
-// readRecord is the device-level record decoder.  It is a free function so
-// recovery workers can decode records concurrently through ReadRecord
-// without serializing on the log mutex: it touches only the device (whose
-// ReadAt is positional and concurrency-safe) and immutable geometry.
-func readRecord(dev Device, areaSize, pos int64, wantSeq uint64) (*Record, int64, error) {
-	if areaSize-pos < minRecordSize {
-		return nil, 0, nil // cannot even hold a header+trailer here
-	}
-	hdr := make([]byte, headerSize)
-	if _, err := dev.ReadAt(hdr, areaOff(pos)); err != nil {
-		return nil, 0, fmt.Errorf("wal: read header at %d: %w", pos, err)
-	}
+// recordLen checks the header at the start of hdr and returns the length
+// of the record it announces, or 0 when the bytes are not a plausible
+// record header fitting in room bytes.
+func recordLen(hdr []byte, room int64) int64 {
 	if binary.BigEndian.Uint32(hdr[0:]) != recMagic {
-		return nil, 0, nil
+		return 0
 	}
 	totalLen := int64(binary.BigEndian.Uint32(hdr[4:]))
-	if totalLen < minRecordSize || totalLen%8 != 0 || pos+totalLen > areaSize {
-		return nil, 0, nil
+	if totalLen < minRecordSize || totalLen%8 != 0 || totalLen > room {
+		return 0
 	}
-	buf := make([]byte, totalLen)
-	if _, err := dev.ReadAt(buf, areaOff(pos)); err != nil {
-		return nil, 0, fmt.Errorf("wal: read record at %d: %w", pos, err)
-	}
+	return totalLen
+}
+
+// decodeRecord validates the record that exactly fills buf (read from area
+// offset pos) and decodes it into rec, reusing rec's Ranges capacity.
+// Range data aliases buf.  wantSeq 0 accepts any sequence number.  It
+// reports false when the bytes are not a valid record.
+func decodeRecord(rec *Record, buf []byte, pos int64, wantSeq uint64) bool {
+	totalLen := int64(len(buf))
 	if crc32.ChecksumIEEE(buf[:totalLen-4]) != binary.BigEndian.Uint32(buf[totalLen-4:]) {
-		return nil, 0, nil
+		return false
 	}
 	seq := binary.BigEndian.Uint64(buf[16:])
 	if seq != wantSeq && wantSeq != 0 {
-		return nil, 0, nil
+		return false
 	}
 	if binary.BigEndian.Uint64(buf[totalLen-trailerSize:]) != seq {
-		return nil, 0, nil
+		return false
 	}
 	if int64(binary.BigEndian.Uint32(buf[totalLen-8:])) != totalLen {
-		return nil, 0, nil
+		return false
 	}
 	typ := buf[8]
-	rec := &Record{
-		Pos:   pos,
-		Len:   totalLen,
-		Seq:   seq,
-		TID:   binary.BigEndian.Uint64(buf[24:]),
-		Type:  typ,
-		Flags: buf[9],
+	*rec = Record{
+		Pos:    pos,
+		Len:    totalLen,
+		Seq:    seq,
+		TID:    binary.BigEndian.Uint64(buf[24:]),
+		Type:   typ,
+		Flags:  buf[9],
+		Ranges: rec.Ranges[:0],
 	}
-	nranges := binary.BigEndian.Uint32(hdr[12:])
+	nranges := binary.BigEndian.Uint32(buf[12:])
 	switch typ {
-	case recWrap:
-		if nranges != 0 {
-			return nil, 0, nil
-		}
-		return rec, totalLen, nil // Ranges stays nil
+	case recWrap, recCmt:
+		// A wrap pads the area end; a commit mark's global commit-ID
+		// rides in the TID slot — its presence is the commit point.
+		return nranges == 0
 	case recCkpt:
 		// The stable sequence number rides in the TID header slot.
-		if nranges != 0 {
-			return nil, 0, nil
-		}
-		rec.CkptSeq = rec.TID
-		rec.TID = 0
-		return rec, totalLen, nil
-	case recCmt:
-		// The global commit-ID rides in the TID header slot; a commit
-		// mark carries no ranges — its presence is the commit point.
-		if nranges != 0 {
-			return nil, 0, nil
-		}
-		return rec, totalLen, nil
+		rec.CkptSeq, rec.TID = rec.TID, 0
+		return nranges == 0
 	case recTx, recPrep:
 	default:
-		return nil, 0, nil
+		return false
 	}
 	p := int64(headerSize)
-	rec.Ranges = make([]Range, 0, nranges)
+	if rec.Ranges == nil {
+		rec.Ranges = make([]Range, 0, nranges)
+	}
 	for i := uint32(0); i < nranges; i++ {
 		if p+rangeHdrSize > totalLen-trailerSize {
-			return nil, 0, nil
+			return false
 		}
 		r := Range{
 			Seg: binary.BigEndian.Uint64(buf[p:]),
@@ -428,37 +428,99 @@ func readRecord(dev Device, areaSize, pos int64, wantSeq uint64) (*Record, int64
 		n := int64(binary.BigEndian.Uint32(buf[p+16:]))
 		p += rangeHdrSize
 		if p+n > totalLen-trailerSize {
-			return nil, 0, nil
+			return false
 		}
-		r.Data = append([]byte(nil), buf[p:p+n]...)
+		r.Data = buf[p : p+n : p+n]
 		p += n
 		rec.Ranges = append(rec.Ranges, r)
 	}
-	return rec, totalLen, nil
+	return true
 }
 
 // findTail scans forward from head to locate the end of the live region.
 func (l *Log) findTail() error {
+	sc := recordScanner{dev: l.dev, areaSize: l.areaSize, chunk: scanChunk}
 	pos := l.head
 	seq := l.headSeq
 	var used int64
 	for used < l.areaSize {
-		rec, n, err := l.readRecordAt(pos, seq)
+		rec, err := sc.next(pos, seq, l.areaSize-pos)
 		if err != nil {
 			return err
 		}
 		if rec == nil {
 			break
 		}
-		used += n
+		used += rec.Len
 		seq++
-		pos += n
+		pos += rec.Len
 		if pos == l.areaSize {
 			pos = 0
 		}
 	}
 	l.used = used
 	l.nextSeq = seq
+	return nil
+}
+
+// recordScanner decodes consecutive records of the record area from large
+// sequential reads: one pread per chunk instead of two per record.
+type recordScanner struct {
+	dev      Device
+	areaSize int64
+	chunk    int64
+	buf      []byte
+	bufPos   int64 // area offset of buf[0]
+	rec      Record
+}
+
+// next decodes the record at area offset pos, expected to carry seq and to
+// fit in the room bytes that follow pos.  It returns nil when the bytes
+// there are not such a record (a torn write or stale data).  The record
+// and its range data are reused by the following call.
+func (s *recordScanner) next(pos int64, seq uint64, room int64) (*Record, error) {
+	room = min(room, s.areaSize-pos)
+	if room < minRecordSize {
+		return nil, nil
+	}
+	if err := s.fill(pos, headerSize, room); err != nil {
+		return nil, err
+	}
+	n := recordLen(s.buf[pos-s.bufPos:], room)
+	if n == 0 {
+		return nil, nil
+	}
+	if err := s.fill(pos, n, room); err != nil {
+		return nil, err
+	}
+	if !decodeRecord(&s.rec, s.buf[pos-s.bufPos:pos-s.bufPos+n], pos, seq) {
+		return nil, nil
+	}
+	return &s.rec, nil
+}
+
+// fill makes [pos, pos+n) readable from buf, reading at least a chunk but
+// never more than room bytes.  A chunk cut short by the end of the device
+// is fine as long as it holds the n bytes asked for.
+func (s *recordScanner) fill(pos, n, room int64) error {
+	if pos >= s.bufPos && pos+n <= s.bufPos+int64(len(s.buf)) {
+		return nil
+	}
+	size := min(max(n, s.chunk), room)
+	if int64(cap(s.buf)) < size {
+		s.buf = make([]byte, size)
+	}
+	got, err := s.dev.ReadAt(s.buf[:size], areaOff(pos))
+	if err != nil && !(errors.Is(err, io.EOF) && int64(got) >= n) {
+		s.buf = s.buf[:0]
+		if errors.Is(err, os.ErrClosed) {
+			// Closed under an unlocked scan (ScanPrefix): the same
+			// logical condition a locked scan reports up front.
+			err = ErrLogClosed
+		}
+		return fmt.Errorf("wal: read at %d: %w", pos, err)
+	}
+	s.buf, s.bufPos = s.buf[:got], pos
 	return nil
 }
 
@@ -824,41 +886,77 @@ func (l *Log) SetNoSync(v bool) {
 }
 
 // ScanForward visits live records oldest-first.  Wrap records are
-// skipped; checkpoint records are delivered (with nil Ranges).
-// fn must not retain the record's range data beyond the call.
+// skipped; checkpoint records are delivered (with nil Ranges).  The log
+// mutex is held throughout; ScanPrefix is the unlocked variant.  fn must
+// not retain the record or its range data beyond the call: both are
+// reused.
 func (l *Log) ScanForward(fn func(*Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.dev == nil {
 		return ErrLogClosed
 	}
-	return l.scanForwardLocked(fn)
+	sc := recordScanner{dev: l.dev, areaSize: l.areaSize, chunk: scanChunk}
+	_, _, err := sc.scan(l.head, l.headSeq, l.used, l.nextSeq, fn)
+	return err
 }
 
-func (l *Log) scanForwardLocked(fn func(*Record) error) error {
-	pos, seq := l.head, l.headSeq
-	var seen int64
-	for seen < l.used {
-		rec, n, err := l.readRecordAt(pos, seq)
+// scanChunk is the read size of forward scans: large sequential reads in
+// place of two small preads per record.
+const scanChunk = 1 << 20
+
+// ScanPrefix visits the live records with Seq < endSeq oldest-first, like
+// ScanForward, but holds the log mutex only to snapshot the head and tail:
+// the records are read in large sequential chunks with no lock held, so
+// appends and forces proceed while it runs.  It returns the area position
+// and sequence number at which the scan stopped — the record numbered
+// endSeq, or the tail snapshot when endSeq lies beyond it — which is
+// where a head advance past the scanned prefix lands.
+//
+// This is safe because a live record below the tail never changes: appends
+// only write the free space past the tail, and only a head move can hand a
+// live record's bytes back to them.  The caller must therefore be the only
+// party able to move the head (the engine's truncation-claim holder, or
+// sole ownership of the log).  fn must not retain the record or its range
+// data beyond the call: both are reused.
+func (l *Log) ScanPrefix(endSeq uint64, fn func(*Record) error) (pos int64, seq uint64, err error) {
+	return l.scanPrefix(endSeq, scanChunk, fn)
+}
+
+func (l *Log) scanPrefix(endSeq uint64, chunk int64, fn func(*Record) error) (int64, uint64, error) {
+	l.mu.Lock()
+	sc := recordScanner{dev: l.dev, areaSize: l.areaSize, chunk: chunk}
+	pos, seq, live := l.head, l.headSeq, l.used
+	endSeq = min(endSeq, l.nextSeq)
+	l.mu.Unlock()
+	if sc.dev == nil {
+		return 0, 0, ErrLogClosed
+	}
+	return sc.scan(pos, seq, live, endSeq, fn)
+}
+
+// scan delivers the records of a live region starting at (pos, seq) with
+// live bytes, stopping before endSeq, and returns where it stopped.
+func (s *recordScanner) scan(pos int64, seq uint64, live int64, endSeq uint64, fn func(*Record) error) (int64, uint64, error) {
+	for ; seq < endSeq; seq++ {
+		rec, err := s.next(pos, seq, live)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 		if rec == nil {
-			return fmt.Errorf("wal: live region corrupt at %d (seq %d)", pos, seq)
+			return 0, 0, fmt.Errorf("wal: live region corrupt at %d (seq %d)", pos, seq)
 		}
 		if rec.Type != recWrap {
 			if err := fn(rec); err != nil {
-				return err
+				return 0, 0, err
 			}
 		}
-		seen += n
-		seq++
-		pos += n
-		if pos == l.areaSize {
+		live -= rec.Len
+		if pos += rec.Len; pos == s.areaSize {
 			pos = 0
 		}
 	}
-	return nil
+	return pos, seq, nil
 }
 
 // ScanBackward visits live records newest-first, walking the reverse
@@ -888,11 +986,11 @@ func (l *Log) ScanBackward(fn func(*Record) error) error {
 		}
 		start := pos - totalLen
 		seq--
-		rec, n, err := l.readRecordAt(start, seq)
+		rec, err := readRecord(l.dev, start, totalLen, seq)
 		if err != nil {
 			return err
 		}
-		if rec == nil || n != totalLen {
+		if rec == nil {
 			return fmt.Errorf("wal: live region corrupt at %d (backward, seq %d)", start, seq)
 		}
 		if rec.Type != recWrap {
@@ -900,7 +998,7 @@ func (l *Log) ScanBackward(fn func(*Record) error) error {
 				return err
 			}
 		}
-		seen += n
+		seen += totalLen
 		pos = start
 	}
 	return nil
@@ -1003,7 +1101,9 @@ func (l *Log) AnalyzeBackward() (Analysis, error) {
 
 // ReadRecord decodes and fully validates the record a RecordRef points at.
 // It is safe for concurrent use by recovery workers: the device handle is
-// snapshotted under the lock and all reads are positional.
+// snapshotted under the lock and the record is read with one positional
+// read.  The record's range data aliases a buffer of its own, which the
+// caller may keep.
 func (l *Log) ReadRecord(ref RecordRef) (*Record, error) {
 	l.mu.Lock()
 	dev, areaSize := l.dev, l.areaSize
@@ -1011,11 +1111,15 @@ func (l *Log) ReadRecord(ref RecordRef) (*Record, error) {
 	if dev == nil {
 		return nil, ErrLogClosed
 	}
-	rec, n, err := readRecord(dev, areaSize, ref.Pos, ref.Seq)
+	var rec *Record
+	var err error
+	if ref.Len >= minRecordSize && ref.Pos >= 0 && ref.Pos+ref.Len <= areaSize {
+		rec, err = readRecord(dev, ref.Pos, ref.Len, ref.Seq)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if rec == nil || n != ref.Len {
+	if rec == nil {
 		return nil, fmt.Errorf("wal: record at %d (seq %d) failed validation", ref.Pos, ref.Seq)
 	}
 	return rec, nil

@@ -142,10 +142,6 @@ var PageSize = mapping.PageSize
 type Options struct {
 	// LogPath names the write-ahead log created earlier with CreateLog.
 	LogPath string
-	// UseMmap backs regions with anonymous mmap memory instead of the Go
-	// heap.  Both are correct; mmap keeps large regions out of the GC's
-	// working set.
-	UseMmap bool
 	// DemandPaging maps regions copy-on-write over the segment file:
 	// pages are read on first touch instead of en masse at Map time (the
 	// external-pager option the paper lists as future work).  Writes stay
@@ -266,10 +262,6 @@ func Open(o Options) (*RVM, error) {
 	if thr == 0 {
 		thr = 0.5
 	}
-	backend := mapping.Heap
-	if o.UseMmap {
-		backend = mapping.Mmap
-	}
 	var tracer *obs.Tracer
 	if o.TraceEvents > 0 {
 		tracer = obs.NewTracer(o.TraceEvents)
@@ -280,7 +272,6 @@ func Open(o Options) (*RVM, error) {
 	}
 	eng, err := core.Open(core.Options{
 		LogPath:             o.LogPath,
-		Backend:             backend,
 		DemandPaging:        o.DemandPaging,
 		TruncateThreshold:   thr,
 		Incremental:         o.Incremental,
@@ -307,8 +298,11 @@ func Open(o Options) (*RVM, error) {
 }
 
 // Close flushes committed work, truncates the log so the next Open is
-// fast, and releases all files (the paper's terminate).  It fails with
-// ErrActiveTx if transactions are still unresolved.
+// fast, and releases all files and region memory (the paper's
+// terminate): no Region.Data slice may be touched afterwards.  It fails
+// with ErrActiveTx if transactions are still unresolved.  An RVM
+// abandoned without Close keeps its region memory mapped until the
+// process exits; the garbage collector does not reclaim it.
 func (r *RVM) Close() error { return r.eng.Close() }
 
 // Map maps [segOff, segOff+length) of the segment at segPath into memory
@@ -320,7 +314,8 @@ func (r *RVM) Map(segPath string, segOff, length int64) (*Region, error) {
 }
 
 // Unmap releases a quiescent region (no uncommitted transactions), first
-// making its committed changes visible to future Maps.
+// making its committed changes visible to future Maps.  The region's
+// memory is unmapped: its Data slice must not be touched afterwards.
 func (r *RVM) Unmap(reg *Region) error { return r.eng.Unmap(reg) }
 
 // Begin starts a transaction.

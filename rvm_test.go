@@ -81,7 +81,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestPublicAPIWithMmapRegions(t *testing.T) {
-	s := newStore(t, rvm.Options{UseMmap: true})
+	s := newStore(t, rvm.Options{})
 	reg, err := s.db.Map(s.segPath, 0, int64(rvm.PageSize))
 	if err != nil {
 		t.Fatal(err)
